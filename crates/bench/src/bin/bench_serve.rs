@@ -8,7 +8,7 @@
 //! realistic mix), severity filters, autocomplete keystrokes, and
 //! cluster drill-downs. Scale via `MARAS_SCALE` as usual.
 
-use maras_bench::{generate_quarter, run_pipeline};
+use maras_bench::{generate_quarter, percentile, run_pipeline};
 use maras_core::PipelineConfig;
 use maras_serve::http::Request;
 use maras_serve::{respond, ServeState, Snapshot};
@@ -51,11 +51,6 @@ fn workload(snap: &Snapshot) -> Vec<Request> {
     }
     reqs.push(get("/healthz", &[]));
     reqs
-}
-
-fn percentile(sorted_us: &[u64], p: f64) -> u64 {
-    let idx = ((sorted_us.len() - 1) as f64 * p).round() as usize;
-    sorted_us[idx]
 }
 
 /// Replays the script `PASSES` times against `state`, returning
@@ -139,9 +134,10 @@ fn main() {
 
     let log_overhead = measure_log_overhead(&hot_state, &script);
 
-    let metrics = hot_state.metrics.to_json();
-    let hit_rate = metrics["cache"]["hit_rate"].as_f64().unwrap_or(0.0);
-    println!("cache: {} hits, hit rate {:.1}%", hot_state.metrics.cache_hits(), hit_rate * 100.0);
+    let hits = hot_state.metrics.cache_hits.get();
+    let lookups = hits + hot_state.metrics.cache_misses.get();
+    let hit_rate = if lookups == 0 { 0.0 } else { hits as f64 / lookups as f64 };
+    println!("cache: {hits} hits, hit rate {:.1}%", hit_rate * 100.0);
 
     let json = Value::obj([
         ("clusters", Value::from(n_clusters)),

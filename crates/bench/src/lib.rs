@@ -87,6 +87,13 @@ pub fn rule_names(result: &AnalysisResult, rule: &DrugAdrRule, corpus: &Corpus) 
     format!("[{}] => [{}]", drugs.join(" + "), adrs.join(", "))
 }
 
+/// The `p`-quantile (`p` in `[0, 1]`) of an ascending, non-empty sample,
+/// by nearest rank: index `round((len - 1) * p)`, halves rounding up.
+pub fn percentile(sorted: &[u64], p: f64) -> u64 {
+    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
+    sorted[idx]
+}
+
 /// Directory experiment figures land in.
 pub fn figures_dir() -> PathBuf {
     let dir = PathBuf::from("target/figures");
@@ -131,6 +138,16 @@ mod tests {
         assert!(!c.quarters[0].reports.is_empty());
         assert!(!c.planted.is_empty());
         assert!(c.drug_vocab.id_of("IBUPROFEN").is_some());
+    }
+
+    #[test]
+    fn percentile_rounds_to_the_nearest_rank() {
+        let sorted = [10, 20, 30, 40];
+        // (4 - 1) * 0.5 = 1.5 rounds up to index 2.
+        assert_eq!(percentile(&sorted, 0.5), 30);
+        assert_eq!(percentile(&sorted, 0.0), 10);
+        assert_eq!(percentile(&sorted, 0.99), 40);
+        assert_eq!(percentile(&[7], 0.5), 7);
     }
 
     #[test]

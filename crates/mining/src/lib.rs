@@ -35,7 +35,6 @@ pub mod closed;
 pub mod fpgrowth;
 pub mod fptree;
 pub mod items;
-pub mod maximal;
 pub mod parallel;
 pub mod store;
 pub mod transactions;
@@ -47,7 +46,6 @@ pub use closed::{
 pub use fpgrowth::{fpgrowth, fpgrowth_into, frequent_itemsets, mine_patterns, FrequentItemset};
 pub use fptree::FpTree;
 pub use items::{Item, ItemSet};
-pub use maximal::{maximal_itemsets, top_k_closed};
 pub use parallel::{count_frequent_parallel, frequent_itemsets_parallel, mine_patterns_parallel};
 pub use store::{CountSink, FnSink, PatternRef, PatternSink, PatternStore};
 pub use transactions::{TidSet, TransactionDb};

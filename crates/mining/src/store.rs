@@ -190,7 +190,7 @@ impl PatternStore {
     }
 
     /// Groups pattern refs by item count: `index[k]` holds every pattern of
-    /// exactly `k` items. Subsumption passes (closed/maximal mining) walk
+    /// exactly `k` items. Subsumption passes (closed mining) walk
     /// lengths top-down instead of hashing owned sets.
     pub fn refs_by_len(&self) -> Vec<Vec<PatternRef>> {
         let max = self.recs.iter().map(|r| r.len as usize).max().unwrap_or(0);

@@ -1,9 +1,12 @@
 //! The global metrics registry: named counters, gauges, and fixed-bucket
 //! histograms with optional labels, rendered for Prometheus scrapes.
 //!
-//! Registration goes through the global [`registry`]; handles are cheap
-//! `Arc`-backed atomics, so callers register once (often in a `OnceLock`)
-//! and update lock-free on the hot path.
+//! Handles are cheap `Arc`-backed atomics: callers register once (often
+//! in a `OnceLock`, or into a struct of handles) and update lock-free on
+//! the hot path. The registry's mutex is taken only to register a series
+//! and to render a scrape. Pipeline layers register in the process-global
+//! [`registry`]; a component that needs its own ledger (each query
+//! server) owns a [`Registry`] and renders it ahead of the global one.
 
 use crate::prom::PromText;
 use std::collections::BTreeMap;
@@ -31,6 +34,18 @@ impl Counter {
     }
 }
 
+/// Adds `v` to the `f64` stored as bits in `cell`, by CAS.
+fn add_f64(cell: &AtomicU64, v: f64) {
+    let mut cur = cell.load(Ordering::Relaxed);
+    loop {
+        let next = (f64::from_bits(cur) + v).to_bits();
+        match cell.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
+            Ok(_) => break,
+            Err(actual) => cur = actual,
+        }
+    }
+}
+
 /// A gauge holding an arbitrary `f64` (stored as bits in an atomic).
 #[derive(Debug, Clone)]
 pub struct Gauge(Arc<AtomicU64>);
@@ -39,6 +54,12 @@ impl Gauge {
     /// Sets the gauge.
     pub fn set(&self, v: f64) {
         self.0.store(v.to_bits(), Ordering::Relaxed);
+    }
+
+    /// Adds `v` (negative to decrease): the up/down form for level gauges
+    /// such as live workers or queued connections.
+    pub fn add(&self, v: f64) {
+        add_f64(&self.0, v);
     }
 
     /// Current value.
@@ -82,19 +103,24 @@ impl Histogram {
         let idx = self.0.bounds.partition_point(|&ub| ub < v);
         self.0.counts[idx].fetch_add(1, Ordering::Relaxed);
         self.0.count.fetch_add(1, Ordering::Relaxed);
-        let mut cur = self.0.sum_bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + v).to_bits();
-            match self.0.sum_bits.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(actual) => cur = actual,
+        add_f64(&self.0.sum_bits, v);
+    }
+
+    /// A detached histogram (registered nowhere) holding the bucket-wise
+    /// sum of `parts`, which must share one set of bounds: one view over
+    /// every label value of a labelled family.
+    pub fn merged(parts: &[Histogram]) -> Histogram {
+        let bounds = parts.first().expect("at least one histogram to merge").bounds();
+        let out = Histogram::new(bounds);
+        for part in parts {
+            assert_eq!(part.bounds(), bounds, "merged histograms must share bounds");
+            for (total, c) in out.0.counts.iter().zip(part.counts()) {
+                total.fetch_add(c, Ordering::Relaxed);
             }
+            out.0.count.fetch_add(part.count(), Ordering::Relaxed);
+            add_f64(&out.0.sum_bits, part.sum());
         }
+        out
     }
 
     /// Bucket upper bounds (excluding `+Inf`).
@@ -179,7 +205,8 @@ struct Series {
 }
 
 /// A registry of named metric series. One process-global instance lives
-/// behind [`registry`]; fresh instances exist only for tests.
+/// behind [`registry`]; each query server owns another, so servers
+/// sharing a process keep separate ledgers.
 #[derive(Debug, Default)]
 pub struct Registry {
     series: Mutex<BTreeMap<SeriesKey, Series>>,
@@ -192,7 +219,7 @@ fn sorted_labels(labels: &[(&str, &str)]) -> Labels {
 }
 
 impl Registry {
-    /// Creates an empty registry (tests; production uses [`registry`]).
+    /// Creates an empty registry.
     pub fn new() -> Registry {
         Registry::default()
     }
@@ -369,6 +396,29 @@ mod tests {
         assert_eq!(h.counts(), vec![2, 1, 1], "10.0 lands in the <=10 bucket");
         assert_eq!(h.count(), 4);
         assert_eq!(h.sum(), 565.0);
+    }
+
+    #[test]
+    fn gauge_add_moves_up_and_down() {
+        let g = Registry::new().gauge("inflight", "requests in flight");
+        g.add(1.0);
+        g.add(1.0);
+        g.add(-1.0);
+        assert_eq!(g.get(), 1.0);
+    }
+
+    #[test]
+    fn merged_histogram_sums_every_part() {
+        let reg = Registry::new();
+        let a = reg.histogram_with("lat", "latency", &[10.0, 100.0], &[("ep", "a")]);
+        let b = reg.histogram_with("lat", "latency", &[10.0, 100.0], &[("ep", "b")]);
+        a.observe(5.0);
+        b.observe(50.0);
+        b.observe(500.0);
+        let all = Histogram::merged(&[a, b]);
+        assert_eq!(all.counts(), vec![1, 1, 1]);
+        assert_eq!(all.count(), 3);
+        assert_eq!(all.sum(), 555.0);
     }
 
     #[test]

@@ -39,9 +39,13 @@
 //!   notable requests with phase timings, and a runtime health dump
 //!   (all three gated by `ServeConfig::debug_endpoints`).
 //! * [`cache`] + [`metrics`] — a sharded LRU over rendered responses
-//!   (invalidated on swap) and lock-free per-endpoint counters and
-//!   latency histograms, exposed as Prometheus text on `/metrics` and
-//!   as the legacy JSON dump on `/metrics.json`. Requests slower than
+//!   (invalidated on swap) and the server's series (per-endpoint
+//!   counters and latency histograms, robustness counters and gauges,
+//!   per-phase histograms) as [`maras_obs`] handles in a registry each
+//!   [`ServeState`](router::ServeState) owns. `/metrics` renders that
+//!   registry and then the process-global one as Prometheus text;
+//!   `/metrics.json` is the legacy JSON dump derived from the same
+//!   handles. Requests slower than
 //!   [`ServeState::slow_threshold_us`](router::ServeState) are logged
 //!   and counted; every request records parse/route/cache/render spans
 //!   into [`maras_obs`].
@@ -62,7 +66,7 @@ pub mod store;
 
 pub use cache::QueryCache;
 pub use debug::{FlightRecorder, RequestId, RequestRecord, REQUEST_ID_HEADER};
-pub use metrics::{Endpoint, Metrics};
+pub use metrics::{Endpoint, ServeMetrics};
 pub use router::{respond, ReloadError, ServeState, DEFAULT_SLOW_THRESHOLD_US};
 pub use server::{serve, serve_with, ServeConfig, ServerHandle};
 pub use snapshot::{scores_json, ClusterEntry, ContextEntry, Snapshot, SortBy};

@@ -1,22 +1,28 @@
 //! Golden-file test for the Prometheus text exposition: a fixed sequence
 //! of recorded requests must render byte-identically to the checked-in
-//! `tests/golden/metrics.prom`, plus structural checks (header-once
+//! `tests/golden/metrics.prom` (and its `/metrics.json` body to
+//! `tests/golden/metrics.json`), plus structural checks (header-once
 //! semantics, label escaping, bucket monotonicity) that hold for any
-//! counter state.
+//! counter state — including the full `/metrics` scrape, where the
+//! server's registry is followed by the process-global one.
 //!
-//! Regenerate the golden file after an intentional format change with
+//! Regenerate the golden files after an intentional format change with
 //! `UPDATE_GOLDEN=1 cargo test -p maras-serve --test prometheus_golden`.
 
-use maras_serve::{Endpoint, Metrics};
+use maras_serve::http::Request;
+use maras_serve::{respond, Endpoint, ServeMetrics, ServeState, Snapshot};
+use serde_json::Value;
 use std::path::PathBuf;
 
 fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/metrics.prom")
 }
 
-/// The fixed counter state every golden render uses.
-fn fixed_metrics() -> Metrics {
-    let m = Metrics::new();
+/// The fixed counter state every golden render uses, registered in a
+/// fresh registry; the scrape-time gauges see 5 response-cache entries.
+fn fixed_metrics() -> (maras_obs::Registry, ServeMetrics) {
+    let reg = maras_obs::Registry::new();
+    let m = ServeMetrics::register(&reg);
     m.record(Endpoint::Healthz, 40, false);
     m.record(Endpoint::Search, 120, false);
     m.record(Endpoint::Search, 800, false);
@@ -28,31 +34,32 @@ fn fixed_metrics() -> Metrics {
     m.record(Endpoint::Report, 60, false);
     // One flight-recorder introspection hit.
     m.record(Endpoint::Debug, 75, false);
-    m.cache_hit();
-    m.cache_miss();
-    m.cache_miss();
-    m.reload();
-    m.slow_request();
+    m.cache_hits.inc();
+    m.cache_misses.inc();
+    m.cache_misses.inc();
+    m.reloads.inc();
+    m.slow_requests.inc();
     // Robustness ledger: shed twice, one I/O timeout, one recovered
     // panic, and a live pool of 3 workers with one queued + one
     // in-flight request at scrape time.
-    m.shed();
-    m.shed();
-    m.timeout();
-    m.worker_panic();
+    m.shed.inc();
+    m.shed.inc();
+    m.timeouts.inc();
+    m.worker_panics.inc();
     for _ in 0..3 {
-        m.worker_started();
+        m.workers_alive.add(1.0);
     }
-    m.enqueued();
-    m.enqueued();
-    m.dequeued();
-    m.request_started();
-    m
+    m.queue_used.add(1.0);
+    m.queue_used.add(1.0);
+    m.queue_used.add(-1.0);
+    m.in_flight.add(1.0);
+    m.refresh_gauges(5);
+    (reg, m)
 }
 
 #[test]
 fn exposition_matches_golden_file() {
-    let rendered = fixed_metrics().to_prometheus(5);
+    let rendered = fixed_metrics().0.render_prometheus();
     let path = golden_path();
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
@@ -64,9 +71,11 @@ fn exposition_matches_golden_file() {
     assert_eq!(rendered, golden, "exposition drifted from {path:?}");
 }
 
-#[test]
-fn exposition_is_structurally_valid() {
-    let text = fixed_metrics().to_prometheus(5);
+/// Structural checks that hold for any exposition: no blank lines, one
+/// `# TYPE` per family, numeric samples, and per-endpoint latency
+/// histograms whose cumulative buckets never decrease and end in a
+/// `le="+Inf"` bucket equal to `_count`.
+fn assert_exposition_valid(text: &str) {
     let mut seen_types = std::collections::HashSet::new();
     for line in text.lines() {
         assert!(!line.is_empty(), "no blank lines inside the exposition");
@@ -114,6 +123,123 @@ fn exposition_is_structurally_valid() {
             .map(|l| l.rsplit(' ').next().unwrap().parse().unwrap())
             .expect("histogram _count");
         assert_eq!(*counts.last().unwrap(), total, "{endpoint}: +Inf bucket != _count");
+    }
+}
+
+#[test]
+fn exposition_is_structurally_valid() {
+    assert_exposition_valid(&fixed_metrics().0.render_prometheus());
+}
+
+fn get(path: &str) -> Request {
+    Request { method: "GET".into(), path: path.into(), query: vec![] }
+}
+
+#[test]
+fn full_scrape_is_structurally_valid() {
+    // Mining the snapshot runs the score engine and the set-algebra
+    // kernels, so the process-global registry holds their families too.
+    let mut synth = maras_faers::Synthesizer::new(maras_faers::SynthConfig::test_scale(91));
+    let quarter = synth.generate_quarter(maras_faers::QuarterId::new(2016, 2));
+    let dv = synth.drug_vocab().clone();
+    let av = synth.adr_vocab().clone();
+    let result =
+        maras_core::Pipeline::new(maras_core::PipelineConfig::default()).run(quarter, &dv, &av);
+    let state = ServeState::new(Snapshot::build("2016 Q2", &result, &dv, &av, None), None, 64);
+    // Served requests (accounted the way the connection handler does),
+    // cache traffic, and one reload.
+    for path in ["/search", "/search", "/cluster/1", "/nope"] {
+        let (endpoint, status, _) = respond(&state, &get(path));
+        state.metrics.record(endpoint, 150, status >= 400);
+    }
+    let snap = state.snapshot();
+    state.swap(Snapshot::from_parts(
+        snap.quarter.clone(),
+        snap.n_reports,
+        snap.drug_vocab().clone(),
+        snap.adr_vocab().clone(),
+        snap.clusters.clone(),
+    ));
+    let (_, status, text) = respond(&state, &get("/metrics"));
+    assert_eq!(status, 200);
+    assert_exposition_valid(&text);
+    for family in [
+        "maras_requests_total",
+        "maras_serve_phase_us",
+        "maras_signals_rules_scored_total",
+        "maras_tidset_intersect_total",
+    ] {
+        assert!(text.contains(&format!("# TYPE {family} ")), "missing family {family}");
+    }
+    assert!(text.contains("maras_requests_total{endpoint=\"search\"} 2"));
+    assert!(text.contains("maras_cache_hits_total 1"));
+    assert!(text.contains("maras_snapshot_reloads_total 1"));
+    assert!(text.contains("maras_request_errors_total 1"));
+}
+
+fn json_golden_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/metrics.json")
+}
+
+/// The `/metrics.json` body for the fixed counter state, byte for byte:
+/// the legacy JSON dump plus the response cache's size (5 entries).
+fn fixed_metrics_json() -> String {
+    let mut body = match fixed_metrics().1.to_json() {
+        Value::Object(m) => m,
+        _ => unreachable!("metrics render as an object"),
+    };
+    body.insert("cache_entries".into(), Value::from(5usize));
+    Value::Object(body).to_string()
+}
+
+#[test]
+fn metrics_json_matches_golden_file() {
+    let rendered = fixed_metrics_json();
+    let path = json_golden_path();
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, &rendered).unwrap();
+        return;
+    }
+    let golden = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing golden file {path:?} ({e}); run with UPDATE_GOLDEN=1"));
+    assert_eq!(rendered, golden, "/metrics.json drifted from {path:?}");
+}
+
+#[test]
+fn metrics_json_schema_stays_frozen_for_existing_keys() {
+    // Adding the evidence endpoints must be purely additive: the
+    // legacy `/metrics.json` consumers keep every key they had, with
+    // the same shapes, and the new endpoint counters appear alongside
+    // the old ones instead of displacing them.
+    let m = ServeMetrics::register(&maras_obs::Registry::new());
+    m.record(Endpoint::Search, 100, false);
+    m.record(Endpoint::Reports, 200, false);
+    m.record(Endpoint::Report, 50, true);
+    m.record(Endpoint::Debug, 25, false);
+    let json = m.to_json();
+    let top: Vec<&str> = match &json {
+        Value::Object(o) => o.keys().map(String::as_str).collect(),
+        _ => panic!("metrics.json is an object"),
+    };
+    assert_eq!(top, ["cache", "errors", "latency_us", "reloads", "requests"]);
+    for legacy in ["healthz", "metrics", "search", "autocomplete", "cluster", "reload", "other"] {
+        assert!(json["requests"].get(legacy).is_some(), "lost requests.{legacy}");
+    }
+    assert_eq!(json["requests"]["reports"], 1u64);
+    assert_eq!(json["requests"]["report"], 1u64);
+    assert_eq!(json["requests"]["debug"], 1u64);
+    assert_eq!(json["errors"], 1u64);
+    assert!(json["latency_us"]["buckets"].as_array().is_some());
+    assert!(json["cache"].get("hit_rate").is_some());
+    // The score engine's `maras_signals_*` and the set-algebra
+    // kernels' `maras_tidset_*` series live in the shared Prometheus
+    // registry only — like the robustness series, they are
+    // append-only on `/metrics` and never grow the frozen JSON schema.
+    assert!(json.get("signals").is_none());
+    assert!(json.get("tidset").is_none());
+    for (i, key) in ["cache", "errors", "latency_us", "reloads", "requests"].iter().enumerate() {
+        assert_eq!(top[i], *key, "legacy key index {i} moved");
     }
 }
 

@@ -183,10 +183,10 @@ fn full_server_lifecycle() {
     assert_eq!(err["error"]["code"], "bad_request");
 
     // -- cache behaviour: repeat query hits the cache ---------------------
-    let before = state.metrics.cache_hits();
+    let before = state.metrics.cache_hits.get();
     let (_, repeat) = http(addr, "GET", &target);
     assert_eq!(repeat, found, "cached response must be byte-identical");
-    assert!(state.metrics.cache_hits() > before, "second identical query must hit the cache");
+    assert!(state.metrics.cache_hits.get() > before, "second identical query must hit the cache");
 
     // -- corrupted snapshot: reload refused, old snapshot keeps serving ---
     let good_bytes = std::fs::read(&snap_path).unwrap();
