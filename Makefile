@@ -69,11 +69,15 @@ evidence-test:
 
 # The signal-scoring layer end to end: the signals crate's unit +
 # property suites (Haldane–Anscombe corrections, checked tables,
-# Mantel–Haenszel degenerate strata), and the engine differential suite
-# proving batch scores bit-identical to the legacy per-rule path across
-# quarters, ingest modes, and thread counts.
+# Mantel–Haenszel degenerate strata) and EBGM golden bits, the support
+# memo's unit tests, the MCAC crate, and the differential suite proving
+# batch scores and the fused cluster-and-score ranking pass bit-identical
+# to the legacy per-rule path across quarters, ingest modes, and thread
+# counts.
 signals-test:
 	cargo test -q -p maras-signals
+	cargo test -q -p maras-mining memo::
+	cargo test -q -p maras-mcac
 	cargo test -q --test signals_differential
 
 # The set-algebra substrate end to end: the tidset crate's unit +

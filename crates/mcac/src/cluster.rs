@@ -1,7 +1,7 @@
 //! MCAC construction (thesis §3.5, Defs 3.5.1–3.5.2, Table 3.1).
 
-use maras_mining::{ItemSet, TransactionDb};
-use maras_rules::DrugAdrRule;
+use maras_mining::{Item, ItemSet, SupportMemo, TransactionDb};
+use maras_rules::{DrugAdrRule, RuleStats};
 use serde::{Deserialize, Serialize};
 
 /// One level of a cluster's context: all contextual rules whose antecedent
@@ -30,9 +30,9 @@ pub struct Mcac {
 
 impl Mcac {
     /// Builds the cluster for `target`, counting every contextual rule's
-    /// support/confidence/lift directly against the database (contextual
-    /// rules are routinely below the mining threshold, so they cannot come
-    /// from the mined ruleset).
+    /// support/confidence/lift against the database (contextual rules are
+    /// routinely below the mining threshold, so they cannot come from the
+    /// mined ruleset).
     ///
     /// ```
     /// use maras_mining::{Item, ItemSet, TransactionDb};
@@ -60,23 +60,55 @@ impl Mcac {
     /// Panics if the target has fewer than 2 drugs — single-drug rules have
     /// no context and are not drug-drug-interaction candidates (§3.4).
     pub fn build(target: DrugAdrRule, db: &TransactionDb) -> Self {
+        Self::build_with(target, &mut SupportMemo::new(db))
+    }
+
+    /// [`Mcac::build`] counting through a caller-held [`SupportMemo`], so a
+    /// batch of clusters counts each drug subset and subset∪ADR set once
+    /// (the ranking pass keeps one memo per worker).
+    ///
+    /// Every contextual rule shares the target's consequent, so its ADR-set
+    /// support is the target's own `stats.support_b` — `target.stats` must
+    /// be counted against the memo's database, as every `maras-rules`
+    /// constructor does.
+    ///
+    /// # Panics
+    /// As [`Mcac::build`].
+    pub fn build_with(target: DrugAdrRule, memo: &mut SupportMemo<'_>) -> Self {
         let n = target.drugs.len();
         assert!(n >= 2, "MCAC target must be a multi-drug rule");
         assert!(n <= 24, "refusing to enumerate 2^{n} contextual subsets");
+        let drugs = target.drugs.items();
+        let adrs = target.adrs.items();
+        debug_assert_eq!(
+            target.stats.support_b,
+            memo.db().support_of(adrs) as u64,
+            "target stats were not counted against this database"
+        );
+        let support_b = target.stats.support_b;
+        let n_transactions = memo.db().len() as u64;
         let mut levels: Vec<ContextLevel> =
             (1..n).rev().map(|k| ContextLevel { cardinality: k, rules: Vec::new() }).collect();
         // Enumerate proper non-empty antecedent subsets straight off the
         // borrowed drug slice — one reused scratch buffer, no powerset of
         // owned ItemSets.
-        let drugs = target.drugs.items();
-        let adrs = target.adrs.items();
         let full = (1u32 << n) - 1;
-        let mut subset: Vec<maras_mining::Item> = Vec::with_capacity(n);
+        let mut subset: Vec<Item> = Vec::with_capacity(n);
         for mask in 1..full {
             subset.clear();
             subset.extend((0..n).filter(|b| mask & (1 << b) != 0).map(|b| drugs[b]));
             let k = subset.len();
-            let rule = DrugAdrRule::from_split_slices(&subset, adrs, db);
+            let stats = RuleStats {
+                support_ab: memo.support_of_union(&subset, adrs) as u64,
+                support_a: memo.support_of(&subset) as u64,
+                support_b,
+                n_transactions,
+            };
+            let rule = DrugAdrRule {
+                drugs: ItemSet::from_sorted_unchecked(subset.clone()),
+                adrs: target.adrs.clone(),
+                stats,
+            };
             // levels[0] has cardinality n-1, levels[n-1-k] has cardinality k.
             levels[n - 1 - k].rules.push(rule);
         }
@@ -141,7 +173,6 @@ impl Mcac {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use maras_mining::Item;
     use maras_rules::ItemPartition;
 
     fn db(rows: &[&[u32]]) -> TransactionDb {

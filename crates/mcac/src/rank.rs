@@ -7,10 +7,11 @@
 
 use crate::cluster::Mcac;
 use crate::exclusiveness::{improvement, ExclusivenessConfig};
-use maras_mining::TransactionDb;
+use maras_mining::{map_sharded, TransactionDb};
 use maras_rules::{DrugAdrRule, Measure};
-use maras_signals::{score_rules, ContingencyTable, SignalScores};
+use maras_signals::{score_rule_with, ContingencyTable, SignalScores, SignalsMetrics};
 use serde::{Deserialize, Serialize};
+use std::time::Instant;
 
 /// A scored cluster, the unit of MARAS's ranked output.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -97,10 +98,15 @@ pub fn rank_clusters(
 /// support, then antecedent, then consequent — so every ranking method is a
 /// total order regardless of thread count).
 ///
-/// The full disproportionality block is computed for every rule in one
-/// signal-engine batch pass sharded across `n_threads` workers; the chosen
-/// `method` then just picks its key out of the block (or the context-aware
-/// legacy scores). Output is identical at every thread count.
+/// One pass sharded across `n_threads` workers ([`map_sharded`]) builds
+/// each rule's cluster and its full disproportionality block together,
+/// every worker counting through one [`maras_mining::SupportMemo`]: a
+/// context support shared across clusters, and each interaction probe
+/// (a `k = 1` context set of the same cluster), is counted once per
+/// worker. The chosen `method` then just picks its key out of the block
+/// (or the context-aware legacy scores). Output is identical at every
+/// thread count, and the pass counts as one signal-scoring batch in the
+/// `maras_signals_*` series.
 pub fn rank_clusters_with(
     rules: Vec<DrugAdrRule>,
     db: &TransactionDb,
@@ -108,20 +114,20 @@ pub fn rank_clusters_with(
     n_threads: usize,
 ) -> Vec<RankedMcac> {
     let _span = maras_obs::span("mcac");
+    let started = Instant::now();
     let rules: Vec<DrugAdrRule> = rules.into_iter().filter(DrugAdrRule::is_multi_drug).collect();
-    let base = score_rules(db, &rules, n_threads);
+    let n_rules = rules.len();
     let cfg = exclusiveness_config(method);
-    let mut out: Vec<RankedMcac> = rules
-        .into_iter()
-        .zip(base)
-        .map(|(rule, base)| {
-            let cluster = Mcac::build(rule, db);
-            let scores = base.with_exclusiveness(cfg.score(&cluster));
-            let score = score_from(&cluster, &scores, method);
-            RankedMcac { cluster, score, scores }
-        })
-        .collect();
+    let mut out = map_sharded(db, rules, n_threads, |memo, rule| {
+        let cluster = Mcac::build_with(rule, memo);
+        let scores = score_rule_with(memo, &cluster.target).with_exclusiveness(cfg.score(&cluster));
+        let score = score_from(&cluster, &scores, method);
+        RankedMcac { cluster, score, scores }
+    });
+    SignalsMetrics::global().record_batch(n_rules, n_threads, started);
+    let sort_span = maras_obs::span("sort");
     sort_ranked(&mut out);
+    drop(sort_span);
     maras_obs::counter("maras_mcac_clusters_total", "MCAC clusters built and ranked")
         .add(out.len() as u64);
     out

@@ -20,6 +20,9 @@
 //!   [`PatternRef`]s, so the 10⁶–10⁷-pattern spaces of Fig. 5.1 cost two
 //!   `Vec`s instead of millions of boxed sets, and the parallel miner's
 //!   per-worker arenas merge by rebase.
+//! * [`SupportMemo`] / [`map_sharded`] — exact support counting memoized
+//!   per distinct item set, and the sharded pass that gives each worker
+//!   its own memo; MCAC construction and signal scoring count through it.
 //! * [`closed`] — CLOSET-style closed-itemset mining (item merging +
 //!   subsumption table), the paper's §3.4 device for eliminating spurious
 //!   drug-ADR associations, with a naive reference implementation used for
@@ -35,6 +38,7 @@ pub mod closed;
 pub mod fpgrowth;
 pub mod fptree;
 pub mod items;
+pub mod memo;
 pub mod parallel;
 pub mod store;
 pub mod transactions;
@@ -46,6 +50,7 @@ pub use closed::{
 pub use fpgrowth::{fpgrowth, fpgrowth_into, frequent_itemsets, mine_patterns, FrequentItemset};
 pub use fptree::FpTree;
 pub use items::{Item, ItemSet};
+pub use memo::{map_sharded, SupportMemo};
 pub use parallel::{count_frequent_parallel, frequent_itemsets_parallel, mine_patterns_parallel};
 pub use store::{CountSink, FnSink, PatternRef, PatternSink, PatternStore};
 pub use transactions::{TidSet, TransactionDb};

@@ -20,6 +20,8 @@ pub struct SpanNode {
     pub total_ns: u64,
     /// Earliest start among them (epoch-relative nanoseconds).
     pub first_start_ns: u64,
+    /// Latest end among them (epoch-relative nanoseconds).
+    pub last_end_ns: u64,
     /// Child nodes, ordered by first start time (ties by path).
     pub children: Vec<SpanNode>,
 }
@@ -28,6 +30,13 @@ impl SpanNode {
     /// Mean wall time per span, nanoseconds.
     pub fn mean_ns(&self) -> u64 {
         self.total_ns / self.count.max(1)
+    }
+
+    /// Wall-clock extent, nanoseconds: first start to last end. Equals
+    /// [`SpanNode::total_ns`] for one span; parallel workers' spans
+    /// overlap, so theirs is below the summed total.
+    pub fn wall_ns(&self) -> u64 {
+        self.last_end_ns.saturating_sub(self.first_start_ns)
     }
 }
 
@@ -44,16 +53,17 @@ pub struct SpanTree {
 impl SpanTree {
     /// Aggregates raw records into the merged tree.
     pub fn build(records: &[SpanRecord]) -> SpanTree {
-        let mut agg: BTreeMap<&str, (u64, u64, u64)> = BTreeMap::new();
+        let mut agg: BTreeMap<&str, (u64, u64, u64, u64)> = BTreeMap::new();
         for r in records {
-            let e = agg.entry(&r.path).or_insert((0, 0, u64::MAX));
+            let e = agg.entry(&r.path).or_insert((0, 0, u64::MAX, 0));
             e.0 += 1;
             e.1 += r.dur_ns;
             e.2 = e.2.min(r.start_ns);
+            e.3 = e.3.max(r.start_ns + r.dur_ns);
         }
         let mut nodes: BTreeMap<&str, SpanNode> = agg
             .into_iter()
-            .map(|(path, (count, total_ns, first_start_ns))| {
+            .map(|(path, (count, total_ns, first_start_ns, last_end_ns))| {
                 let name = path.rsplit('/').next().unwrap_or(path).to_string();
                 (
                     path,
@@ -63,6 +73,7 @@ impl SpanTree {
                         count,
                         total_ns,
                         first_start_ns,
+                        last_end_ns,
                         children: Vec::new(),
                     },
                 )
@@ -117,7 +128,10 @@ impl SpanTree {
         out
     }
 
-    /// Renders the indented timing table (`--timings` output).
+    /// Renders the indented timing table (`--timings` output): per path,
+    /// the span count, the wall-clock extent (`wall ms`), the summed
+    /// duration (`total ms`, which exceeds the wall time under parallel
+    /// workers) and the mean per span.
     pub fn render(&self) -> String {
         fn name_width(node: &SpanNode, depth: usize, w: &mut usize) {
             *w = (*w).max(2 * depth + node.name.len());
@@ -128,8 +142,9 @@ impl SpanTree {
         fn walk(node: &SpanNode, depth: usize, width: usize, out: &mut String) {
             let label = format!("{:indent$}{}", "", node.name, indent = 2 * depth);
             out.push_str(&format!(
-                "{label:<width$}  {:>7}  {:>12.3}  {:>12.3}\n",
+                "{label:<width$}  {:>7}  {:>12.3}  {:>12.3}  {:>12.3}\n",
                 node.count,
+                node.wall_ns() as f64 / 1e6,
                 node.total_ns as f64 / 1e6,
                 node.mean_ns() as f64 / 1e6,
             ));
@@ -143,8 +158,8 @@ impl SpanTree {
         }
         let mut out = String::new();
         out.push_str(&format!(
-            "{:<width$}  {:>7}  {:>12}  {:>12}\n",
-            "span", "count", "total ms", "mean ms"
+            "{:<width$}  {:>7}  {:>12}  {:>12}  {:>12}\n",
+            "span", "count", "wall ms", "total ms", "mean ms"
         ));
         for r in &self.roots {
             walk(r, 0, width, &mut out);
@@ -212,5 +227,32 @@ mod tests {
         assert!(table.contains("run"));
         assert!(table.contains("  step"), "children are indented: {table}");
         assert!(table.contains("2.000"));
+    }
+
+    #[test]
+    fn wall_time_spans_first_start_to_last_end() {
+        // Two overlapping workers under a parent: 2 x 30 ns summed, but
+        // only 40 ns of wall clock.
+        let tree = SpanTree::build(&[
+            rec("run", 0, 50),
+            rec("run/shard", 5, 30),
+            rec("run/shard", 15, 30),
+        ]);
+        let run = &tree.roots[0];
+        assert_eq!((run.wall_ns(), run.total_ns), (50, 50));
+        let shard = &run.children[0];
+        assert_eq!((shard.first_start_ns, shard.last_end_ns), (5, 45));
+        assert_eq!((shard.wall_ns(), shard.total_ns), (40, 60));
+        let table = SpanTree::build(&[
+            rec("run", 0, 5_000_000),
+            rec("run/shard", 0, 4_000_000),
+            rec("run/shard", 1_000_000, 4_000_000),
+        ])
+        .render();
+        let header: Vec<&str> = table.lines().next().unwrap().split_whitespace().collect();
+        assert_eq!(header, ["span", "count", "wall", "ms", "total", "ms", "mean", "ms"]);
+        let shard_row: Vec<&str> =
+            table.lines().find(|l| l.contains("shard")).unwrap().split_whitespace().collect();
+        assert_eq!(shard_row, ["shard", "2", "5.000", "8.000", "4.000"]);
     }
 }

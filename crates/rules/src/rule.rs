@@ -61,23 +61,10 @@ impl DrugAdrRule {
     }
 
     /// Builds a rule for an explicit (drugs, adrs) split, counting all three
-    /// supports. Used for contextual sub-rules, which need not be frequent.
+    /// supports against the database; the split need not be frequent.
     pub fn from_parts(drugs: ItemSet, adrs: ItemSet, db: &TransactionDb) -> Self {
         let stats = Self::split_stats(drugs.items(), adrs.items(), db);
         DrugAdrRule { drugs, adrs, stats }
-    }
-
-    /// Builds a rule from borrowed (drugs, adrs) slices, counting all three
-    /// supports without materializing the union. The MCAC context loop uses
-    /// this to enumerate `2^n − 2` contextual sub-rules per cluster straight
-    /// from borrowed antecedent subsets.
-    pub fn from_split_slices(drugs: &[Item], adrs: &[Item], db: &TransactionDb) -> Self {
-        let stats = Self::split_stats(drugs, adrs, db);
-        DrugAdrRule {
-            drugs: ItemSet::from_sorted_unchecked(drugs.to_vec()),
-            adrs: ItemSet::from_sorted_unchecked(adrs.to_vec()),
-            stats,
-        }
     }
 
     fn split_stats(drugs: &[Item], adrs: &[Item], db: &TransactionDb) -> RuleStats {

@@ -16,7 +16,7 @@
 //! deployments commonly start from.
 
 use crate::contingency::ContingencyTable;
-use crate::gamma::{digamma, gamma_p, gamma_quantile, ln_gamma};
+use crate::gamma::{digamma, gamma_p_given, gamma_quantile, ln_gamma};
 use serde::{Deserialize, Serialize};
 
 /// Two-component gamma mixture prior on the reporting ratio λ.
@@ -63,9 +63,11 @@ impl EbgmScores {
 
 /// Log marginal likelihood of observing `n` under prior component
 /// `(alpha, beta)` with expectation `e` — a negative binomial.
-fn ln_marginal(n: f64, e: f64, alpha: f64, beta: f64) -> f64 {
+/// `ln_gamma_post` is `ln Γ(α + n)`, which the caller also needs for the
+/// posterior component's CDF.
+fn ln_marginal(n: f64, e: f64, alpha: f64, beta: f64, ln_gamma_post: f64) -> f64 {
     // P(N=n) = Γ(α+n)/(Γ(α) n!) · (β/(β+E))^α · (E/(β+E))^n
-    ln_gamma(alpha + n) - ln_gamma(alpha) - ln_gamma(n + 1.0)
+    ln_gamma_post - ln_gamma(alpha) - ln_gamma(n + 1.0)
         + alpha * (beta / (beta + e)).ln()
         + n * (e / (beta + e)).ln()
 }
@@ -83,10 +85,11 @@ pub fn ebgm(n: u64, e: f64, prior: &GammaMixturePrior) -> EbgmScores {
     let b1 = prior.beta1 + e;
     let a2 = prior.alpha2 + n;
     let b2 = prior.beta2 + e;
+    let (lg1, lg2) = (ln_gamma(a1), ln_gamma(a2));
 
     // Posterior mixture weight via marginal likelihoods.
-    let l1 = ln_marginal(n, e, prior.alpha1, prior.beta1) + prior.w.ln();
-    let l2 = ln_marginal(n, e, prior.alpha2, prior.beta2) + (1.0 - prior.w).ln();
+    let l1 = ln_marginal(n, e, prior.alpha1, prior.beta1, lg1) + prior.w.ln();
+    let l2 = ln_marginal(n, e, prior.alpha2, prior.beta2, lg2) + (1.0 - prior.w).ln();
     let m = l1.max(l2);
     let w1 = ((l1 - m).exp()) / ((l1 - m).exp() + (l2 - m).exp());
 
@@ -94,16 +97,16 @@ pub fn ebgm(n: u64, e: f64, prior: &GammaMixturePrior) -> EbgmScores {
     let e_ln = w1 * (digamma(a1) - b1.ln()) + (1.0 - w1) * (digamma(a2) - b2.ln());
     let ebgm = e_ln.exp();
 
-    // Quantiles of the posterior mixture via bisection on its CDF.
+    // Quantiles of the posterior mixture via bisection on its CDF, both
+    // bracketed by the wider component's 0.999 quantile.
     let cdf = |x: f64| -> f64 {
         if x <= 0.0 {
             return 0.0;
         }
-        w1 * gamma_p(a1, x * b1) + (1.0 - w1) * gamma_p(a2, x * b2)
+        w1 * gamma_p_given(a1, lg1, x * b1) + (1.0 - w1) * gamma_p_given(a2, lg2, x * b2)
     };
+    let hi0 = gamma_quantile(0.999, a1, b1).max(gamma_quantile(0.999, a2, b2));
     let quantile = |p: f64| -> f64 {
-        // Bracket using the wider component quantile.
-        let hi0 = gamma_quantile(0.999, a1, b1).max(gamma_quantile(0.999, a2, b2));
         let mut lo = 0.0;
         let mut hi = hi0.max(1e-9);
         while cdf(hi) < p {

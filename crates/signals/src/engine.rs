@@ -10,69 +10,34 @@
 //! (hybrid array/bitmap kernels from `maras-tidset`), so the table is
 //! an O(1) inclusion–exclusion rearrangement ([`ContingencyTable::from_stats`])
 //! and the only remaining database probes are the per-constituent-drug
-//! lookups the interaction contrast needs. The differential suite in
-//! `tests/signals_differential.rs` proves the tables and every score
-//! bit-identical to the legacy per-rule path at 1/2/4 threads.
+//! lookups the interaction contrast needs, counted through each worker's
+//! [`SupportMemo`] so a drug shared by many rules is probed once. The
+//! differential suite in `tests/signals_differential.rs` proves the tables
+//! and every score bit-identical to the legacy per-rule path at 1/2/4
+//! threads.
 
 use crate::contingency::ContingencyTable;
 use crate::disproportionality::SignalScores;
 use crate::metrics::SignalsMetrics;
-use maras_mining::TransactionDb;
+use maras_mining::{map_sharded, SupportMemo, TransactionDb};
 use maras_rules::DrugAdrRule;
 use std::time::Instant;
 
 /// Scores every rule in one pass, sharded across `n_threads` workers
-/// (clamped to ≥ 1). Output order matches input order and is identical at
-/// every thread count — worker `w` takes the rules whose index is
-/// `≡ w (mod n_threads)` and the shards merge back by index.
+/// (clamped to ≥ 1) by [`map_sharded`], each worker counting through its
+/// own [`SupportMemo`]. Output order matches input order and is identical
+/// at every thread count.
 pub fn score_rules(
     db: &TransactionDb,
     rules: &[DrugAdrRule],
     n_threads: usize,
 ) -> Vec<SignalScores> {
-    let n_threads = n_threads.max(1);
-    let metrics = SignalsMetrics::global();
     let started = Instant::now();
     let score_span = maras_obs::span("signals");
-    let out = if n_threads == 1 || rules.len() < 2 {
-        rules.iter().map(|r| score_rule(db, r)).collect()
-    } else {
-        score_sharded(db, rules, n_threads)
-    };
+    let out = map_sharded(db, rules.iter().collect(), n_threads, score_rule_with);
     drop(score_span);
-    metrics.rules_scored.add(rules.len() as u64);
-    metrics.batches.inc();
-    metrics.batch_us.observe(started.elapsed().as_micros() as f64);
-    metrics.threads.set(n_threads as f64);
+    SignalsMetrics::global().record_batch(rules.len(), n_threads, started);
     out
-}
-
-fn score_sharded(db: &TransactionDb, rules: &[DrugAdrRule], n_threads: usize) -> Vec<SignalScores> {
-    let parent = maras_obs::current_path().unwrap_or_default();
-    let parent = &parent;
-    let shards: Vec<Vec<(usize, SignalScores)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n_threads)
-            .map(|w| {
-                scope.spawn(move || {
-                    let _shard = maras_obs::span_under(parent, "shard");
-                    rules
-                        .iter()
-                        .enumerate()
-                        .filter(|(idx, _)| idx % n_threads == w)
-                        .map(|(idx, rule)| (idx, score_rule(db, rule)))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("scorer thread panicked")).collect()
-    });
-    let mut out: Vec<Option<SignalScores>> = vec![None; rules.len()];
-    for shard in shards {
-        for (idx, scores) in shard {
-            out[idx] = Some(scores);
-        }
-    }
-    out.into_iter().map(|s| s.expect("every rule index scored exactly once")).collect()
 }
 
 /// Scores one rule: the table-derived measures from its stored marginals,
@@ -80,13 +45,20 @@ fn score_sharded(db: &TransactionDb, rules: &[DrugAdrRule], n_threads: usize) ->
 /// slot stays 0 here — it needs the rule's contextual cluster, which
 /// `maras-mcac` attaches during ranking.
 pub fn score_rule(db: &TransactionDb, rule: &DrugAdrRule) -> SignalScores {
+    score_rule_with(&mut SupportMemo::new(db), rule)
+}
+
+/// [`score_rule`] counting the interaction probes through a caller-held
+/// [`SupportMemo`]: each probe is a single drug and that drug ∪ the ADRs,
+/// the same sets a cluster's `k = 1` context counts.
+pub fn score_rule_with(memo: &mut SupportMemo<'_>, rule: &DrugAdrRule) -> SignalScores {
     let table =
         ContingencyTable::from_stats(&rule.stats).expect("miner-derived rule stats are consistent");
     let base = SignalScores::from_table(table);
     if !rule.is_multi_drug() {
         return base;
     }
-    base.with_interaction(interaction_from_stats(db, rule))
+    base.with_interaction(interaction_from_stats(memo, rule))
 }
 
 /// Interaction contrast from the rule's stored joint/antecedent supports
@@ -97,8 +69,8 @@ pub fn score_rule(db: &TransactionDb, rule: &DrugAdrRule) -> SignalScores {
 /// re-derives with two `db.support` scans, so the combo term divides
 /// identical `f64` values, and the per-drug terms run the same lookups in
 /// the same (sorted) drug order with the same `fold(0.0, f64::max)`.
-fn interaction_from_stats(db: &TransactionDb, rule: &DrugAdrRule) -> f64 {
-    let n = db.len().max(1) as f64;
+fn interaction_from_stats(memo: &mut SupportMemo<'_>, rule: &DrugAdrRule) -> f64 {
+    let n = memo.db().len().max(1) as f64;
     let s = 0.5 / n;
     let p_combo = if rule.stats.support_a == 0 {
         0.0
@@ -112,11 +84,11 @@ fn interaction_from_stats(db: &TransactionDb, rule: &DrugAdrRule) -> f64 {
         .iter()
         .map(|&d| {
             let single = [d];
-            let exposed = db.support_of(&single) as f64;
+            let exposed = memo.support_of(&single) as f64;
             if exposed == 0.0 {
                 0.0
             } else {
-                db.support_of_union(&single, adrs) as f64 / exposed
+                memo.support_of_union(&single, adrs) as f64 / exposed
             }
         })
         .fold(0.0f64, f64::max);
@@ -191,7 +163,11 @@ mod tests {
     #[test]
     fn single_drug_rules_get_zero_interaction() {
         let d = example_db();
-        let single = maras_rules::DrugAdrRule::from_split_slices(&[Item(0)], &[Item(10)], &d);
+        let single = maras_rules::DrugAdrRule::from_parts(
+            maras_mining::ItemSet::from_ids([0u32]),
+            maras_mining::ItemSet::from_ids([10u32]),
+            &d,
+        );
         let scored = score_rules(&d, std::slice::from_ref(&single), 1);
         assert_eq!(scored[0].interaction, 0.0);
         assert!(scored[0].prr.estimate > 0.0);

@@ -53,13 +53,22 @@ pub fn digamma(x: f64) -> f64 {
 /// Regularized lower incomplete gamma `P(a, x) = γ(a,x) / Γ(a)`.
 pub fn gamma_p(a: f64, x: f64) -> f64 {
     assert!(a > 0.0 && x >= 0.0, "gamma_p domain: a={a}, x={x}");
+    gamma_p_given(a, ln_gamma(a), x)
+}
+
+/// [`gamma_p`] with `ln Γ(a)` supplied by the caller — the one series /
+/// continued-fraction body. Quantile bisections evaluate many `x` at one
+/// shape, so they pay the Lanczos sum once per shape instead of once per
+/// step; the result is bit-identical to [`gamma_p`].
+pub(crate) fn gamma_p_given(a: f64, ln_gamma_a: f64, x: f64) -> f64 {
+    debug_assert!(a > 0.0 && x >= 0.0, "gamma_p domain: a={a}, x={x}");
     if x == 0.0 {
         return 0.0;
     }
     if x < a + 1.0 {
-        gamma_p_series(a, x)
+        gamma_p_series(a, ln_gamma_a, x)
     } else {
-        1.0 - gamma_q_cf(a, x)
+        1.0 - gamma_q_cf(a, ln_gamma_a, x)
     }
 }
 
@@ -68,7 +77,7 @@ pub fn gamma_q(a: f64, x: f64) -> f64 {
     1.0 - gamma_p(a, x)
 }
 
-fn gamma_p_series(a: f64, x: f64) -> f64 {
+fn gamma_p_series(a: f64, ln_gamma_a: f64, x: f64) -> f64 {
     let mut term = 1.0 / a;
     let mut sum = term;
     let mut n = a;
@@ -80,10 +89,10 @@ fn gamma_p_series(a: f64, x: f64) -> f64 {
             break;
         }
     }
-    sum * (-x + a * x.ln() - ln_gamma(a)).exp()
+    sum * (-x + a * x.ln() - ln_gamma_a).exp()
 }
 
-fn gamma_q_cf(a: f64, x: f64) -> f64 {
+fn gamma_q_cf(a: f64, ln_gamma_a: f64, x: f64) -> f64 {
     // Lentz's continued fraction for Q(a,x).
     let tiny = 1e-300;
     let mut b = x + 1.0 - a;
@@ -108,20 +117,22 @@ fn gamma_q_cf(a: f64, x: f64) -> f64 {
             break;
         }
     }
-    h * (-x + a * x.ln() - ln_gamma(a)).exp()
+    h * (-x + a * x.ln() - ln_gamma_a).exp()
 }
 
 /// Quantile of the Gamma(shape, rate) distribution: the `p`-th percentile of
 /// a gamma with the given shape and *rate* (not scale). Bisection on the
-/// CDF — robust, and signal scoring calls it rarely enough that speed is
-/// irrelevant.
+/// CDF — robust, but not free: EBGM brackets every rule's posterior with
+/// two of these (tens of thousands of calls per paper-scale refresh), so
+/// `ln Γ(shape)` is computed once per call rather than once per step.
 pub fn gamma_quantile(p: f64, shape: f64, rate: f64) -> f64 {
     assert!((0.0..1.0).contains(&p), "p must be in [0,1), got {p}");
     assert!(shape > 0.0 && rate > 0.0);
     if p == 0.0 {
         return 0.0;
     }
-    let cdf = |x: f64| gamma_p(shape, x * rate);
+    let ln_gamma_shape = ln_gamma(shape);
+    let cdf = |x: f64| gamma_p_given(shape, ln_gamma_shape, x * rate);
     // Bracket the quantile: start around the mean, expand upward.
     let mut hi = (shape / rate).max(1e-12);
     while cdf(hi) < p {

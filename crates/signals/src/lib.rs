@@ -26,7 +26,7 @@ pub use disproportionality::{
     chi_square_yates, evans_signal, prr, ror, rrr, ConfidenceInterval, SignalScores,
 };
 pub use ebgm::{ebgm, ebgm_from_table, EbgmScores, GammaMixturePrior};
-pub use engine::{score_rule, score_rules};
+pub use engine::{score_rule, score_rule_with, score_rules};
 pub use ic::{information_component, InformationComponent};
 pub use interaction::{harpaz_rank, interaction_contrast, HarpazSignal};
 pub use metrics::SignalsMetrics;

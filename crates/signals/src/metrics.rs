@@ -2,6 +2,7 @@
 //! so the series ride the existing `/metrics` exposition.
 
 use maras_obs::{Counter, Gauge, Histogram, Registry};
+use std::time::Instant;
 
 /// Microsecond buckets for whole-batch scoring passes — a few thousand rules
 /// score in the low milliseconds, dominated by the EBGM posterior quantiles.
@@ -13,7 +14,7 @@ pub const SIGNALS_LATENCY_BUCKETS_US: [f64; 10] =
 pub struct SignalsMetrics {
     /// Rules scored across all batches.
     pub rules_scored: Counter,
-    /// Scoring batches run (one per `score_rules` call).
+    /// Scoring batches run (one per `score_rules` or ranking call).
     pub batches: Counter,
     /// Wall time of one whole scoring batch, µs.
     pub batch_us: Histogram,
@@ -36,6 +37,15 @@ impl SignalsMetrics {
             threads: reg
                 .gauge("maras_signals_threads", "worker threads used by the latest scoring batch"),
         }
+    }
+
+    /// Records one finished batch: `rules` rules scored on `n_threads`
+    /// workers (clamped to ≥ 1), begun at `started`.
+    pub fn record_batch(&self, rules: usize, n_threads: usize, started: Instant) {
+        self.rules_scored.add(rules as u64);
+        self.batches.inc();
+        self.batch_us.observe(started.elapsed().as_micros() as f64);
+        self.threads.set(n_threads.max(1) as f64);
     }
 
     /// Registers the series in the process-global registry (what `/metrics`

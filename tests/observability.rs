@@ -9,7 +9,7 @@
 use maras::core::{Pipeline, PipelineConfig};
 use maras::faers::ascii::{read_quarter_dir_with, write_quarter_dir, IngestOptions};
 use maras::faers::{QuarterId, SynthConfig, Synthesizer, Vocabulary};
-use maras::obs::{self, ObsConfig, SpanTree};
+use maras::obs::{self, ObsConfig, SpanNode, SpanTree};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -35,10 +35,14 @@ impl Drop for Fixture {
 /// Writes one synthetic quarter to a temp dir so the sharded ASCII
 /// reader (not just the in-memory pipeline) is under test.
 fn fixture(tag: &str, seed: u64) -> Fixture {
+    fixture_of(tag, seed, 400)
+}
+
+fn fixture_of(tag: &str, seed: u64, n_reports: usize) -> Fixture {
     let dir = std::env::temp_dir().join(format!("maras_obs_{tag}_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
     let id = QuarterId::new(2014, 1);
-    let mut synth = Synthesizer::new(SynthConfig { n_reports: 400, seed, ..Default::default() });
+    let mut synth = Synthesizer::new(SynthConfig { n_reports, seed, ..Default::default() });
     let quarter = synth.generate_quarter(id);
     write_quarter_dir(&dir, &quarter).expect("write quarter");
     Fixture { dir, id, dv: synth.drug_vocab().clone(), av: synth.adr_vocab().clone() }
@@ -101,6 +105,30 @@ fn every_pipeline_stage_appears_in_the_span_stream() {
         spans.iter().any(|s| s.name() == "shard" || s.name() == "mine_seq"),
         "mining must record shard or sequential spans"
     );
+}
+
+#[test]
+fn mcac_phase_wall_time_is_covered_by_named_children() {
+    let _g = lock();
+    // Large enough that the phase's fixed costs (thread spawn and join,
+    // metric registration) are not a visible share of it in a debug build.
+    let fx = fixture_of("coverage", 25, 1500);
+    for threads in [1usize, 2] {
+        let tree = SpanTree::build(&traced_run(&fx.dir, fx.id, threads, &fx.dv, &fx.av));
+        let mcac = tree.roots.iter().find(|n| n.name == "mcac").expect("mcac phase span");
+        let names: Vec<&str> = mcac.children.iter().map(|c| c.name.as_str()).collect();
+        assert!(names.contains(&"shard"), "{threads} threads: mcac children {names:?}");
+        // Children run one after another (the shards, then the sort), so
+        // their wall-clock extents add up without double counting.
+        let covered: u64 = mcac.children.iter().map(SpanNode::wall_ns).sum();
+        let share = covered as f64 / mcac.wall_ns().max(1) as f64;
+        assert!(
+            share >= 0.95,
+            "{threads} threads: named children cover {:.1}% of mcac's {} ns ({names:?})",
+            100.0 * share,
+            mcac.wall_ns()
+        );
+    }
 }
 
 #[test]

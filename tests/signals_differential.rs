@@ -4,12 +4,15 @@
 //! three support scans plus direct measure calls — across seeded quarters,
 //! strict and lenient ingestion, and 1/2/4 scoring threads. The ranked
 //! pipeline output must carry the same block with the exclusiveness slot
-//! filled in.
+//! filled in, and the fused ranking pass (clusters and blocks built
+//! together through per-worker support memos) must reproduce, field for
+//! field, clusters counted the pre-memo way and their exclusiveness.
 
-use maras::core::{Pipeline, PipelineConfig};
+use maras::core::{AnalysisResult, Pipeline, PipelineConfig};
 use maras::faers::ascii::{read_quarter_dir_with, write_quarter_dir, IngestOptions};
 use maras::faers::{QuarterId, SynthConfig, Synthesizer};
-use maras::mining::TransactionDb;
+use maras::mcac::{rank_clusters_with, ContextLevel, ExclusivenessConfig, Mcac, RankingMethod};
+use maras::mining::{ItemSet, TransactionDb};
 use maras::rules::DrugAdrRule;
 use maras::signals::{interaction_contrast, score_rules, ContingencyTable, SignalScores};
 
@@ -53,9 +56,36 @@ fn legacy_score(db: &TransactionDb, rule: &DrugAdrRule) -> SignalScores {
     }
 }
 
-#[test]
-fn engine_is_bit_identical_to_legacy_across_quarters_modes_and_threads() {
-    let tmp = std::env::temp_dir().join("maras-signals-differential");
+/// The pre-memo cluster construction: every contextual rule counted with
+/// three direct support queries (`DrugAdrRule::from_parts`), levels in
+/// descending cardinality, each sorted by descending confidence then
+/// antecedent.
+fn legacy_cluster(target: DrugAdrRule, db: &TransactionDb) -> Mcac {
+    let drugs = target.drugs.items();
+    let n = drugs.len();
+    let mut levels: Vec<ContextLevel> =
+        (1..n).rev().map(|k| ContextLevel { cardinality: k, rules: Vec::new() }).collect();
+    for mask in 1..(1u32 << n) - 1 {
+        let subset: ItemSet = (0..n).filter(|b| mask & (1 << b) != 0).map(|b| drugs[b]).collect();
+        let k = subset.len();
+        let rule = DrugAdrRule::from_parts(subset, target.adrs.clone(), db);
+        levels[n - 1 - k].rules.push(rule);
+    }
+    for level in &mut levels {
+        level.rules.sort_by(|a, b| {
+            b.confidence()
+                .partial_cmp(&a.confidence())
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then_with(|| a.drugs.cmp(&b.drugs))
+        });
+    }
+    Mcac { target, levels }
+}
+
+/// Runs `check` on the default pipeline's result for three seeded quarters,
+/// each ingested from disk in strict and in lenient mode.
+fn for_each_quarter(tag: &str, mut check: impl FnMut(&str, &AnalysisResult)) {
+    let tmp = std::env::temp_dir().join(format!("maras-signals-differential-{tag}"));
     for seed in [31u64, 32, 33] {
         let mut cfg = SynthConfig::test_scale(seed);
         cfg.n_reports = 1500;
@@ -76,23 +106,61 @@ fn engine_is_bit_identical_to_legacy_across_quarters_modes_and_threads() {
                 synth.drug_vocab(),
                 synth.adr_vocab(),
             );
-            let db = &result.encoded.db;
-            let rules: Vec<DrugAdrRule> =
-                result.ranked.iter().map(|r| r.cluster.target.clone()).collect();
-            assert!(!rules.is_empty(), "seed {seed} {mode}: no ranked rules");
-            let legacy: Vec<SignalScores> = rules.iter().map(|r| legacy_score(db, r)).collect();
-
-            for threads in [1usize, 2, 4] {
-                let scored = score_rules(db, &rules, threads);
-                assert_eq!(scored.len(), legacy.len());
-                for (i, (got, want)) in scored.iter().zip(&legacy).enumerate() {
-                    let ctx = format!("seed {seed} {mode} threads {threads} rule {i}");
-                    assert_bits_eq(got, want, &ctx);
-                }
-            }
+            assert!(!result.ranked.is_empty(), "seed {seed} {mode}: no ranked rules");
+            check(&format!("seed {seed} {mode}"), &result);
         }
     }
     let _ = std::fs::remove_dir_all(&tmp);
+}
+
+#[test]
+fn engine_is_bit_identical_to_legacy_across_quarters_modes_and_threads() {
+    for_each_quarter("engine", |quarter, result| {
+        let db = &result.encoded.db;
+        let rules: Vec<DrugAdrRule> =
+            result.ranked.iter().map(|r| r.cluster.target.clone()).collect();
+        let legacy: Vec<SignalScores> = rules.iter().map(|r| legacy_score(db, r)).collect();
+
+        for threads in [1usize, 2, 4] {
+            let scored = score_rules(db, &rules, threads);
+            assert_eq!(scored.len(), legacy.len());
+            for (i, (got, want)) in scored.iter().zip(&legacy).enumerate() {
+                let ctx = format!("{quarter} threads {threads} rule {i}");
+                assert_bits_eq(got, want, &ctx);
+            }
+        }
+    });
+}
+
+#[test]
+fn fused_ranking_pass_matches_legacy_clusters_and_scores() {
+    let cfg = ExclusivenessConfig::default();
+    let method = RankingMethod::Exclusiveness(cfg);
+    for_each_quarter("fused", |quarter, result| {
+        let db = &result.encoded.db;
+        let rules: Vec<DrugAdrRule> =
+            result.ranked.iter().map(|r| r.cluster.target.clone()).collect();
+        for threads in [1usize, 2, 4] {
+            let ranked = rank_clusters_with(rules.clone(), db, method, threads);
+            assert_eq!(ranked.len(), result.ranked.len(), "{quarter} threads {threads}");
+            for (i, (got, pipeline)) in ranked.iter().zip(&result.ranked).enumerate() {
+                let ctx = format!("{quarter} threads {threads} rank {i}");
+                // Same ranked order as the pipeline's own pass.
+                assert_eq!(got.cluster.target, pipeline.cluster.target, "{ctx}: order");
+                let want = legacy_cluster(got.cluster.target.clone(), db);
+                assert_eq!(got.cluster.levels.len(), want.levels.len(), "{ctx}: levels");
+                for (g, w) in got.cluster.levels.iter().zip(&want.levels) {
+                    assert_eq!(g.cardinality, w.cardinality, "{ctx}");
+                    assert_eq!(g.rules, w.rules, "{ctx}: level {} rules", w.cardinality);
+                }
+                assert_eq!(got.cluster, want, "{ctx}: cluster");
+                let exclusiveness = cfg.score(&want);
+                assert_eq!(got.score.to_bits(), exclusiveness.to_bits(), "{ctx}: score");
+                let block = legacy_score(db, &want.target).with_exclusiveness(exclusiveness);
+                assert_bits_eq(&got.scores, &block, &ctx);
+            }
+        }
+    });
 }
 
 #[test]
